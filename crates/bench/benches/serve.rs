@@ -146,9 +146,9 @@ fn main() {
     let rps = total_requests / throughput_wall.as_secs_f64();
 
     // 3b. Keep-alive throughput: the same 8 clients, but each holds ONE
-    // connection and pipelines requests 16 deep — the reactor's warm
-    // path (parse → response-cache hit → writev), no per-request
-    // connect/teardown.
+    // connection and pipelines requests 16 deep — the connection
+    // thread's warm path (parse → response-cache hit → writev), no
+    // per-request connect/teardown.
     const PIPELINE_DEPTH: usize = 16;
     const KEEPALIVE_REQUESTS_PER_CLIENT: usize = 4_000;
     let keepalive_start = Instant::now();
@@ -170,8 +170,8 @@ fn main() {
     let keepalive_close_ratio = rps_keepalive / rps;
 
     // 3c. Concurrency sweep: keep-alive throughput as the connection
-    // count scales past the worker count (the reactor multiplexes; the
-    // pool is never the warm path).
+    // count scales past the worker count (one thread per connection;
+    // the pool is never the warm path).
     let mut sweep = Vec::new();
     for conns in [1usize, 8, 64, 256] {
         let per_client = (16_384 / conns).max(PIPELINE_DEPTH);
@@ -188,8 +188,8 @@ fn main() {
     }
 
     // 4. Query engine: cold miss vs warm repeat. The warm repeats are
-    // served upstream of the engine (the reactor's pre-serialized
-    // response cache), so the hit rate is counted as "query answers
+    // served upstream of the engine (the connection thread's
+    // pre-serialized response cache), so the hit rate is counted as "query answers
     // served without spending a compute" — a before/after delta of the
     // engine's compute counter over the query phase.
     const QUERY: &str = "/query?workload=fft&node=7nm&lanes=4";

@@ -27,16 +27,17 @@ pub struct Site {
 
 /// `accelwall serve` probes this once per parsed request, at the top of
 /// the pool's compute handler: a `panic` here dies *on the pool worker
-/// thread* (exercising worker respawn — the reactor closes the client's
-/// connection), an `err` answers the request with a 500, and a `hang`
-/// occupies the worker for the configured duration.
+/// thread* (exercising worker respawn — the connection thread waiting
+/// on that request closes the client's connection), an `err` answers
+/// the request with a 500, and a `hang` occupies the worker for the
+/// configured duration.
 pub const SERVE_REQUEST: &str = "serve-request";
 
-/// The connection reactor probes this once per accepted connection,
+/// The server's accept loop probes this once per accepted connection,
 /// before registering it: an `err` here sheds the connection with an
 /// immediate `503` + close (the same shape as the concurrent-connection
-/// cap firing), and a `panic` is contained by the reactor — the
-/// connection is dropped, the event loop survives.
+/// cap firing), and a `panic` is contained by the accept loop — the
+/// connection is dropped, the loop keeps accepting.
 pub const SERVE_CONN: &str = "serve-conn";
 
 /// The query engine probes this at admission, before reserving cost
@@ -79,8 +80,8 @@ pub const ROSTER: &[Site] = &[
     },
     Site {
         name: SERVE_CONN,
-        location: "crates/server/src/reactor.rs::Reactor::accept_burst",
-        effect: "connection-level chaos at accept (shed or dropped, reactor survives)",
+        location: "crates/server/src/front.rs::Front::admit",
+        effect: "connection-level chaos at accept (shed or dropped, accept loop survives)",
     },
     Site {
         name: QUERY_CACHE_ADMIT,

@@ -420,7 +420,10 @@ fn default_chunk_size(len: usize) -> usize {
 
 type Task = Box<dyn FnOnce() + Send>;
 
-static IDLE_SPAWNERS: Mutex<Vec<Sender<Task>>> = Mutex::new(Vec::new());
+/// A stack of parked carrier threads, each waiting on its sender.
+type Carriers = Mutex<Vec<Sender<Task>>>;
+
+static IDLE_SPAWNERS: Carriers = Mutex::new(Vec::new());
 
 /// Runs `f` on a detached background thread, reusing a cached idle
 /// thread when one is available instead of spawning a fresh OS thread
@@ -437,12 +440,18 @@ pub fn spawn_detached<F>(name: &str, f: F)
 where
     F: FnOnce() + Send + 'static,
 {
-    let mut task: Task = Box::new(f);
+    spawn_on(&IDLE_SPAWNERS, name, Box::new(f));
+}
+
+/// [`spawn_detached`] over an explicit carrier stack: carriers are taken
+/// from `carriers` and park back on it. Tests pass a stack of their own
+/// so concurrently running tests cannot claim each other's carriers.
+fn spawn_on(carriers: &'static Carriers, name: &str, mut task: Task) {
     // Hand the task to a parked carrier if any is alive. A send fails
     // only when the carrier timed out and exited; its stale sender is
     // discarded and we try the next.
     loop {
-        let idle = lock(&IDLE_SPAWNERS).pop();
+        let idle = lock(carriers).pop();
         match idle {
             Some(sender) => match sender.send(task) {
                 Ok(()) => return,
@@ -464,7 +473,7 @@ where
                 run();
                 // lint:allow(bounded-channel): carrier handoff holds at most one task by construction — each sender is single-use, consumed when an idle spawner is claimed
                 let (sender, receiver) = channel::<Task>();
-                lock(&IDLE_SPAWNERS).push(sender);
+                lock(carriers).push(sender);
                 task = receiver.recv_timeout(SPAWN_KEEPALIVE).ok();
             }
         });
@@ -579,17 +588,31 @@ mod tests {
 
     #[test]
     fn spawn_detached_runs_the_task_and_reuses_carriers() {
+        // A carrier stack of this test's own: no other test's task can
+        // claim the carrier parked on it.
+        static CARRIERS: Carriers = Mutex::new(Vec::new());
         let (tx, rx) = channel();
-        spawn_detached("accelwall-test-spawn", move || {
-            tx.send(std::thread::current().id()).unwrap();
-        });
+        spawn_on(
+            &CARRIERS,
+            "accelwall-test-spawn",
+            Box::new(move || tx.send(std::thread::current().id()).unwrap()),
+        );
         let first = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        // Give the carrier a beat to park itself, then reuse it.
-        std::thread::sleep(Duration::from_millis(50));
+        // Wait for the carrier to park itself, then reuse it.
+        let parked_by = std::time::Instant::now() + Duration::from_secs(5);
+        while lock(&CARRIERS).is_empty() {
+            assert!(
+                std::time::Instant::now() < parked_by,
+                "carrier never parked"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let (tx, rx) = channel();
-        spawn_detached("accelwall-test-spawn-2", move || {
-            tx.send(std::thread::current().id()).unwrap();
-        });
+        spawn_on(
+            &CARRIERS,
+            "accelwall-test-spawn-2",
+            Box::new(move || tx.send(std::thread::current().id()).unwrap()),
+        );
         let second = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(first, second, "second task should reuse the carrier");
     }

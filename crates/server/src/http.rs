@@ -4,9 +4,10 @@
 //! incremental: [`parse_bytes`] inspects a byte buffer and either yields
 //! one complete request (plus how many bytes it consumed, so pipelined
 //! requests behind it stay in the buffer) or reports that more bytes are
-//! needed. The reactor feeds it from nonblocking sockets;
-//! [`read_request`] wraps the same parser in a blocking read loop for
-//! plain `Read` streams (tests, tools).
+//! needed. [`read_request`] wraps the same parser in the blocking read
+//! step each server connection runs: it reads only while the
+//! connection's carry buffer holds no complete request, and leaves any
+//! pipelined bytes behind that request in the buffer for the next parse.
 //!
 //! Requests are HTTP/1.1 keep-alive by default: a connection stays open
 //! after a response unless the request was HTTP/1.0 (without
@@ -21,7 +22,7 @@
 //! unchecked and never allocates proportionally to attacker input
 //! beyond the caps.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 
 /// Upper bound on the request head (request line + all headers).
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -93,12 +94,7 @@ pub enum ParseOutcome {
         consumed: usize,
     },
     /// The buffer holds only a prefix of a request so far.
-    Partial {
-        /// Whether the head is already complete (the parser is waiting
-        /// on body bytes) — distinguishes "closed mid-head" from
-        /// "closed mid-body" for callers that see EOF.
-        head_done: bool,
-    },
+    Partial,
 }
 
 /// Incrementally parses the front of `buf` as one HTTP/1.x request.
@@ -118,7 +114,7 @@ pub fn parse_bytes(buf: &[u8]) -> Result<ParseOutcome, RequestError> {
         if buf.len() > MAX_HEAD_BYTES {
             return Err(RequestError::TooLarge);
         }
-        return Ok(ParseOutcome::Partial { head_done: false });
+        return Ok(ParseOutcome::Partial);
     };
     if head_end > MAX_HEAD_BYTES {
         return Err(RequestError::TooLarge);
@@ -188,7 +184,7 @@ pub fn parse_bytes(buf: &[u8]) -> Result<ParseOutcome, RequestError> {
             return Err(RequestError::BodyTooLarge);
         }
         if buf.len() < head_end + length {
-            return Ok(ParseOutcome::Partial { head_done: true });
+            return Ok(ParseOutcome::Partial);
         }
         request.body = buf[head_end..head_end + length].to_vec();
         consumed += length;
@@ -225,35 +221,32 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
 }
 
 /// Reads and parses one request (head and, when `Content-Length` is
-/// present, body) from a blocking `stream`, looping [`parse_bytes`]
-/// over accumulated bytes.
+/// present, body) from a blocking `stream`, carrying bytes across calls
+/// in `buf`.
+///
+/// The front of `buf` is parsed first, and the stream is read only while
+/// it holds no complete request. The returned request's bytes are
+/// drained off `buf`; pipelined bytes behind it stay there for the next
+/// call (or for [`parse_bytes`]).
 ///
 /// # Errors
 ///
 /// See [`RequestError`]; the caller maps the variants onto 431/413/400
-/// responses or drops the connection on I/O failure.
-pub fn read_request(stream: &mut impl Read) -> Result<Request, RequestError> {
-    let mut buf = Vec::with_capacity(1024);
+/// responses. [`RequestError::Io`] means the stream failed, timed out, or
+/// ended (`UnexpectedEof`) before a complete request arrived.
+pub fn read_request(stream: &mut impl Read, buf: &mut Vec<u8>) -> Result<Request, RequestError> {
     let mut chunk = [0u8; 4 * 1024];
     loop {
-        let head_done = match parse_bytes(&buf)? {
-            ParseOutcome::Complete { request, .. } => return Ok(request),
-            ParseOutcome::Partial { head_done } => head_done,
-        };
-        let n = stream.read(&mut chunk).map_err(RequestError::Io)?;
-        if n == 0 {
-            // EOF mid-head means the client never sent a request worth
-            // answering; EOF mid-body is an I/O-level truncation.
-            return Err(if head_done {
-                RequestError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-body",
-                ))
-            } else {
-                RequestError::Malformed("connection closed mid-head")
-            });
+        if let ParseOutcome::Complete { request, consumed } = parse_bytes(buf)? {
+            buf.drain(..consumed);
+            return Ok(request);
         }
-        buf.extend_from_slice(&chunk[..n]);
+        match stream.read(&mut chunk) {
+            Ok(0) => return Err(RequestError::Io(ErrorKind::UnexpectedEof.into())),
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(RequestError::Io(e)),
+        }
     }
 }
 
@@ -376,7 +369,7 @@ mod tests {
     use super::*;
 
     fn parse(raw: &str) -> Result<Request, RequestError> {
-        read_request(&mut raw.as_bytes())
+        read_request(&mut raw.as_bytes(), &mut Vec::new())
     }
 
     #[test]
@@ -421,9 +414,36 @@ mod tests {
         // A non-numeric length is malformed, not a hang.
         let bad = "POST /query HTTP/1.1\r\nContent-Length: ten\r\n\r\n";
         assert!(matches!(parse(bad), Err(RequestError::Malformed(_))));
-        // A truncated body surfaces as I/O, not a short read.
-        let short = "POST /query HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
-        assert!(matches!(parse(short), Err(RequestError::Io(_))));
+    }
+
+    #[test]
+    fn a_stream_ending_before_a_complete_request_is_an_eof() {
+        // Nothing sent, closed mid-head, and closed mid-body all surface
+        // as I/O (the connection closes silently), never as a short read.
+        for raw in [
+            "",
+            "GET /x HTTP/1.1\r\nHost",
+            "POST /query HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc",
+        ] {
+            match parse(raw) {
+                Err(RequestError::Io(e)) => assert_eq!(e.kind(), ErrorKind::UnexpectedEof),
+                other => panic!("{raw:?} should be an EOF, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn read_request_carries_pipelined_bytes_between_calls() {
+        let mut stream: &[u8] =
+            b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\nConnection: close\r\n\r\nGET /c";
+        let mut buf = Vec::new();
+        assert_eq!(read_request(&mut stream, &mut buf).unwrap().path, "/a");
+        // One read pulled the whole stream; the rest is carried in `buf`
+        // and the second request is parsed without touching the stream.
+        assert!(stream.is_empty());
+        let second = read_request(&mut stream, &mut buf).unwrap();
+        assert_eq!((second.path.as_str(), second.keep_alive), ("/b", false));
+        assert_eq!(buf, b"GET /c");
     }
 
     #[test]
@@ -435,7 +455,6 @@ mod tests {
     #[test]
     fn rejects_malformed_heads() {
         for raw in [
-            "",                              // empty
             "GET\r\n\r\n",                   // no target
             "GET /x\r\n\r\n",                // no version
             "get /x HTTP/1.1\r\n\r\n",       // lower-case method
@@ -444,7 +463,6 @@ mod tests {
             "GET /x HTTP/1.1 extra\r\n\r\n", // trailing junk
             "GET /x HTTP/1.1\r\nno-colon\r\n\r\n",
             "GET /x HTTP/1.1\r\n: empty-name\r\n\r\n",
-            "GET /x HTTP/1.1\r\nHost", // closed mid-head
         ] {
             assert!(
                 matches!(parse(raw), Err(RequestError::Malformed(_))),
@@ -498,11 +516,11 @@ mod tests {
         // Partial head, then partial body, then complete + leftover.
         assert!(matches!(
             parse_bytes(b"GET / HTT").unwrap(),
-            ParseOutcome::Partial { head_done: false }
+            ParseOutcome::Partial
         ));
         assert!(matches!(
             parse_bytes(b"POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nab").unwrap(),
-            ParseOutcome::Partial { head_done: true }
+            ParseOutcome::Partial
         ));
         let two = b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n";
         let ParseOutcome::Complete { request, consumed } = parse_bytes(two).unwrap() else {
@@ -525,7 +543,7 @@ mod tests {
                     requests.push(request);
                     buf.drain(..consumed);
                 }
-                ParseOutcome::Partial { .. } => return requests,
+                ParseOutcome::Partial => return requests,
             }
         }
     }

@@ -12,16 +12,15 @@
 //! counters that prove it.
 //!
 //! Everything is `std`-only, split into two tiers (see DESIGN.md,
-//! "Connection reactor"):
+//! "Connection front end"):
 //!
-//! * an **I/O tier** — one nonblocking event-loop thread (the reactor)
-//!   owns the listener and every client socket: it accepts, buffers
-//!   partial reads, parses pipelined HTTP/1.1 incrementally, keeps
-//!   connections alive by default (closing only on error,
-//!   `Connection: close`, or the idle timeout), answers warm `GET`s
-//!   straight from a pre-serialized [`respcache::ResponseCache`], and
-//!   writes responses out in request order with gathered vectored
-//!   writes;
+//! * an **I/O tier** — a blocking accept loop that serves each admitted
+//!   connection on its own thread: the thread reads and parses pipelined
+//!   HTTP/1.1 incrementally, keeps the connection alive by default
+//!   (closing only on error, `Connection: close`, or the idle timeout),
+//!   answers warm `GET`s straight from a pre-serialized
+//!   [`respcache::ResponseCache`], and writes responses out in request
+//!   order with gathered vectored writes;
 //! * a **compute tier** — the fixed-size worker pool
 //!   ([`pool::ThreadPool`]) over a bounded `mpsc` channel, fed one
 //!   parsed request at a time. The bounded backlog doubles as the
@@ -31,9 +30,9 @@
 //!   sheds whole connections the same way.
 //!
 //! Shutdown is a drain: `POST /shutdown` (or [`ServerHandle::shutdown`])
-//! stops accepting, requests already buffered or in flight finish, each
-//! connection closes as it goes quiet, then the listener closes and
-//! [`Server::run`] returns.
+//! stops accepting, connections parked between requests close at once,
+//! requests already buffered or in flight finish, then the pool drains
+//! and [`Server::run`] returns.
 //!
 //! # Routes
 //!
@@ -81,10 +80,9 @@
 //! `ACCELWALL_FAULTS` (see the `accelwall-faults` crate); the
 //! `serve-request` static site fires per parsed request at the top of
 //! the pool's compute handler, and `serve-conn` fires per accepted
-//! connection inside the reactor. While a fault plan is armed the
-//! reactor bypasses its inline fast path entirely, so every request
-//! flows through the pool and its probes — chaos semantics are
-//! identical to the old thread-per-connection front end.
+//! connection in the accept loop. While a fault plan is armed the
+//! connection threads bypass the response cache entirely, so every
+//! request flows through the pool and its probes.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -94,12 +92,10 @@ pub mod metrics;
 pub mod pool;
 pub mod respcache;
 
-mod conn;
-mod reactor;
+mod front;
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -111,10 +107,10 @@ use accelwall_query::{QueryEngine, QueryError, QuerySpec};
 use accelwall_work::protocol::parse_lease_request;
 use accelwall_work::{CompleteRequest, Coordinator, HeartbeatRequest};
 
+use front::ComputeJob;
 use http::{Request, Response};
 use metrics::{Metrics, Route};
 use pool::ThreadPool;
-use reactor::{Completion, ComputeJob, Reactor, ReactorLimits};
 use respcache::ResponseCache;
 
 /// Tunables for one [`Server`].
@@ -124,8 +120,8 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker threads handling requests.
     pub workers: usize,
-    /// Connections allowed to queue beyond the busy workers before the
-    /// acceptor sheds load with `503`.
+    /// Requests allowed to queue for the worker pool beyond the busy
+    /// workers; a request arriving past it is answered `503`.
     pub backlog: usize,
     /// Per-socket read/write timeout (bounds slow clients).
     pub io_timeout: Duration,
@@ -138,11 +134,11 @@ pub struct ServerConfig {
     /// Hard cap on concurrently open connections; excess accepts are
     /// shed with an immediate `503` + close.
     pub max_connections: usize,
-    /// How long a connection may sit idle between requests before the
-    /// reactor closes it (keep-alive harvest; slowloris protection).
+    /// How long a connection may sit idle between requests before it is
+    /// closed (keep-alive harvest; slowloris protection).
     pub idle_timeout: Duration,
-    /// Byte cap on the pre-serialized response cache (the reactor's
-    /// inline fast path for warm `GET`s).
+    /// Byte cap on the pre-serialized response cache (the connection
+    /// threads' inline fast path for warm `GET`s).
     pub response_cache_bytes: usize,
 }
 
@@ -199,10 +195,10 @@ impl ServerHandle {
     /// returns.
     pub fn shutdown(&self) {
         // AcqRel: the release side publishes "draining" to the
-        // acceptor's Acquire load; the acquire side orders this thread
+        // front end's Acquire loads; the acquire side orders this thread
         // after any earlier shutdown call it lost the race to.
         if !self.shutdown.swap(true, Ordering::AcqRel) {
-            // Wake the acceptor if it is parked in `accept()`.
+            // Wake the accept loop, which is parked in `accept()`.
             let _ = TcpStream::connect(self.addr);
         }
     }
@@ -270,28 +266,21 @@ impl Server {
     }
 
     /// Serves until a drain is requested, then finishes queued work and
-    /// returns. This call owns the calling thread (it becomes the
-    /// reactor's event loop).
+    /// returns. This call owns the calling thread (it becomes the accept
+    /// loop).
     ///
     /// # Errors
     ///
-    /// Only listener-level failures; per-connection errors are answered
-    /// on the wire (4xx/5xx) or dropped, never escalated.
+    /// Never fails: per-connection errors are answered on the wire
+    /// (4xx/5xx) or dropped, never escalated.
     pub fn run(self) -> std::io::Result<()> {
         let handle = self.handle();
         let respcache = Arc::new(ResponseCache::new(self.config.response_cache_bytes));
-        // Completions flow pool → reactor over a bounded channel; the
-        // generous slack keeps workers from blocking on the hand-back
-        // even when the reactor is mid-pass through a busy slab.
-        let (completions_tx, completions_rx) = std::sync::mpsc::sync_channel::<Completion>(
-            self.config.workers + self.config.backlog + 256,
-        );
         let pool = {
             let cache = Arc::clone(&self.cache);
             let engine = Arc::clone(&self.engine);
             let metrics = Arc::clone(&self.metrics);
             let respcache = Arc::clone(&respcache);
-            let handle = handle.clone();
             let work = self.work.clone();
             let compute_deadline = self.config.compute_deadline;
             // The metrics' panic counter is shared with the pool, so a
@@ -310,27 +299,15 @@ impl Server {
                         work: work.as_ref(),
                         respcache: &respcache,
                     };
-                    compute_response(job, &serve, &completions_tx, compute_deadline);
+                    compute_response(job, &serve, compute_deadline);
                 },
             )
         };
-        let reactor = Reactor::new(
-            self.listener,
-            Arc::clone(&self.metrics),
-            respcache,
-            Arc::clone(&self.shutdown),
-            completions_rx,
-            ReactorLimits {
-                max_connections: self.config.max_connections,
-                idle_timeout: self.config.idle_timeout,
-                io_timeout: self.config.io_timeout,
-            },
-        );
-        let outcome = reactor.run(&pool);
-        // Drain: close the queue, let workers finish, then drop the
-        // listener so the port frees only after the last response.
+        front::run(&self, &respcache, &pool);
+        // Drain: every connection thread has exited; close the queue and
+        // let the workers finish.
         pool.join();
-        outcome
+        Ok(())
     }
 }
 
@@ -347,83 +324,34 @@ struct ServeState<'a> {
     respcache: &'a ResponseCache,
 }
 
-/// Sends [`Completion::Abort`] if the compute handler unwinds before
-/// disarming: the reactor then drops the whole connection, exactly as
-/// the old thread-per-connection worker dying did. The pool's sentinel
-/// respawns the worker either way.
-struct AbortGuard<'a> {
-    tx: &'a SyncSender<Completion>,
-    slot: u32,
-    generation: u32,
-    armed: bool,
-}
-
-impl AbortGuard<'_> {
-    fn disarm(&mut self) {
-        self.armed = false;
-    }
-}
-
-impl Drop for AbortGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            let _ = self.tx.send(Completion::Abort {
-                slot: self.slot,
-                generation: self.generation,
-            });
-        }
-    }
-}
-
 /// The pool's compute handler: serves one parsed request and hands the
-/// response back to the reactor in pipeline order.
-fn compute_response(
-    job: ComputeJob,
-    serve: &ServeState<'_>,
-    completions: &SyncSender<Completion>,
-    compute_deadline: Duration,
-) {
+/// response back to its connection thread. A panic here drops the
+/// reply sender, which makes that thread close the connection; the
+/// pool's sentinel respawns the worker.
+fn compute_response(job: ComputeJob, serve: &ServeState<'_>, compute_deadline: Duration) {
     let ComputeJob {
-        slot,
-        generation,
-        seq,
         request,
-        started,
         cache_key,
+        reply,
     } = job;
-    let mut guard = AbortGuard {
-        tx: completions,
-        slot,
-        generation,
-        armed: true,
-    };
-    let metrics = serve.metrics;
-    let _in_flight = metrics.track_in_flight();
+    let _in_flight = serve.metrics.track_in_flight();
     // The `serve-request` fault site: a `panic` rule fires on this very
-    // worker thread (exercising pool respawn — the abort guard makes
-    // the reactor drop the client's connection), an `err` rule answers
-    // 500, a `hang` rule holds the worker for its duration.
+    // worker thread (exercising pool respawn and dropping the client's
+    // connection), an `err` rule answers 500, a `hang` rule holds the
+    // worker for its duration.
     let (route, response) = match accelwall_faults::probe(accelwall_faults::sites::SERVE_REQUEST) {
         Err(fault) => (Route::Other, Response::text(500, format!("{fault}\n"))),
         Ok(()) => route_request(&request, serve, compute_deadline),
     };
-    // Populate the reactor's fast path: only `200`s for cacheable
-    // request shapes (the reactor computed `cache_key` under the same
+    // Populate the response cache: only `200`s for cacheable request
+    // shapes (the connection computed `cache_key` under the same
     // admission rules), and never while a fault plan is armed.
     if let Some(key) = &cache_key {
         if response.status == 200 && !accelwall_faults::is_armed() {
             serve.respcache.insert(key, route, &response);
         }
     }
-    let _ = completions.send(Completion::Done {
-        slot,
-        generation,
-        seq,
-        route,
-        response,
-        started,
-    });
-    guard.disarm();
+    let _ = reply.send((route, response));
 }
 
 /// Maps one parsed request onto a route and a response.
@@ -1337,5 +1265,92 @@ mod tests {
         handle.shutdown();
         handle.shutdown(); // idempotent
         join.join().expect("server thread").expect("clean exit");
+    }
+
+    #[test]
+    fn a_pipelined_cold_compute_and_warm_hit_come_back_in_request_order() {
+        let (handle, join) = coarse_server();
+        let addr = handle.addr();
+        // Warm the schema into the response cache; fig3a stays cold.
+        let (_, schema) = get(addr, "/query/schema");
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        // The cold compute goes to the pool while the hit behind it is
+        // answered on the connection thread; the wire order must still
+        // be the request order.
+        stream
+            .write_all(
+                b"GET /experiments/fig3a HTTP/1.1\r\nHost: t\r\n\r\n\
+                  GET /query/schema HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+            )
+            .expect("send pipeline");
+        let mut carry = Vec::new();
+        let (s1, cold) = read_framed(&mut stream, &mut carry);
+        let (s2, warm) = read_framed(&mut stream, &mut carry);
+        assert_eq!((s1, s2), (200, 200));
+        assert_eq!(warm, schema, "the warm hit overtook the cold compute");
+        let (_, fig3a) = get(addr, "/experiments/fig3a");
+        assert_eq!(cold, fig3a);
+        let (_, text) = get(addr, "/metrics");
+        assert_eq!(metric(&text, "accelwall_artifact_cache_computes_total"), 1);
+
+        handle.shutdown();
+        join.join().expect("server thread").expect("clean exit");
+    }
+
+    #[test]
+    fn a_thousand_request_pipelined_burst_is_answered_completely_in_order() {
+        let (handle, join) = coarse_server();
+        let addr = handle.addr();
+        let (_, roster) = get(addr, "/experiments");
+        let (_, schema) = get(addr, "/query/schema");
+        // 499 keep-alive pairs, then a final pair whose second closes.
+        let pair =
+            "GET /experiments HTTP/1.1\r\nHost: t\r\n\r\nGET /query/schema HTTP/1.1\r\nHost: t\r\n";
+        let burst = format!(
+            "{}{pair}Connection: close\r\n\r\n",
+            format!("{pair}\r\n").repeat(499)
+        );
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        // Send from another thread: the responses outweigh the socket
+        // buffers, so this thread must read while the burst goes out.
+        let mut sender = stream.try_clone().expect("clone");
+        let writer = std::thread::spawn(move || sender.write_all(burst.as_bytes()).expect("send"));
+        let mut carry = Vec::new();
+        for i in 0..1000 {
+            let (status, body) = read_framed(&mut stream, &mut carry);
+            assert_eq!(status, 200, "response {i}");
+            let expected = if i % 2 == 0 { &roster } else { &schema };
+            assert_eq!(&body, expected, "response {i} out of order");
+        }
+        writer.join().expect("writer");
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).expect("eof after close");
+        assert!(carry.is_empty() && rest.is_empty(), "bytes after the end");
+        let (_, text) = get(addr, "/metrics");
+        assert!(metric(&text, "accelwall_pipelined_requests_total") > 0);
+        assert!(metric(&text, "accelwall_keepalive_reuses_total") >= 999);
+
+        handle.shutdown();
+        join.join().expect("server thread").expect("clean exit");
+    }
+
+    #[test]
+    fn shutdown_closes_an_idle_keep_alive_connection_without_waiting_it_out() {
+        // The default 5 s idle timeout: the drain must not wait for it.
+        let (handle, join) = coarse_server();
+        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+        stream
+            .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            .expect("send");
+        let (status, _) = read_framed(&mut stream, &mut Vec::new());
+        assert_eq!(status, 200);
+        let begun = std::time::Instant::now();
+        handle.shutdown();
+        join.join().expect("server thread").expect("clean exit");
+        let took = begun.elapsed();
+        assert!(took < Duration::from_secs(2), "drain took {took:?}");
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).expect("eof");
+        assert!(rest.is_empty());
     }
 }

@@ -31,10 +31,10 @@
 //!    unit progress gauges plus the lease / completion / re-issue /
 //!    hedge / quarantine counters chaos tests assert on.
 //!
-//! 7. connection-reactor counters: connections admitted / open,
-//!    keep-alive reuses, pipelined requests, idle-timeout reaps,
-//!    over-cap sheds, event-loop iterations, and the pre-serialized
-//!    response cache's hit/miss/eviction/byte series
+//! 7. connection counters: connections admitted / open, keep-alive
+//!    reuses, pipelined requests, idle-timeout reaps, over-cap sheds,
+//!    and the pre-serialized response cache's hit/miss/eviction/byte
+//!    series
 //!    ([`RespCacheStats`]) — the numbers the serve bench and the CI
 //!    keep-alive smoke assert on.
 //!
@@ -133,7 +133,6 @@ pub struct Metrics {
     pipelined: AtomicU64,
     idle_timeouts: AtomicU64,
     over_cap: AtomicU64,
-    reactor_polls: AtomicU64,
     /// Shared with the worker pool (see
     /// [`ThreadPool::with_panic_counter`](crate::pool::ThreadPool::with_panic_counter)),
     /// which increments it when a worker dies panicking and is respawned.
@@ -166,12 +165,14 @@ impl Metrics {
         }
     }
 
-    /// Marks a connection rejected by backpressure (503 before routing).
+    /// Marks a request rejected by pool backpressure (503 before
+    /// routing; the connection stays open). Rendered as
+    /// `accelwall_connections_rejected_total` for compatibility.
     pub fn record_rejected(&self) {
         self.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one connection admitted by the reactor.
+    /// Records one connection admitted by the accept loop.
     pub fn record_connection_opened(&self) {
         self.connections.fetch_add(1, Ordering::Relaxed);
         self.open_connections.fetch_add(1, Ordering::Relaxed);
@@ -202,11 +203,6 @@ impl Metrics {
     /// Records a connection shed by the concurrent-connection cap.
     pub fn record_over_cap(&self) {
         self.over_cap.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one reactor event-loop iteration.
-    pub fn record_reactor_poll(&self) {
-        self.reactor_polls.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Connections admitted so far (the CI smoke compares this against
@@ -319,10 +315,6 @@ impl Metrics {
             (
                 "connections_over_cap_total",
                 self.over_cap.load(Ordering::Relaxed),
-            ),
-            (
-                "reactor_polls_total",
-                self.reactor_polls.load(Ordering::Relaxed),
             ),
         ] {
             let _ = writeln!(out, "accelwall_{name} {value}");
@@ -646,7 +638,7 @@ mod tests {
     }
 
     #[test]
-    fn reactor_and_response_cache_series_render() {
+    fn connection_and_response_cache_series_render() {
         let m = Metrics::new();
         m.record_connection_opened();
         m.record_connection_opened();
@@ -655,7 +647,6 @@ mod tests {
         m.record_pipelined();
         m.record_idle_timeout();
         m.record_over_cap();
-        m.record_reactor_poll();
         assert_eq!(m.connections(), 2);
         assert_eq!(m.keepalive_reuses(), 1);
         let resp = RespCacheStats {
@@ -680,7 +671,6 @@ mod tests {
         assert!(text.contains("accelwall_pipelined_requests_total 1"));
         assert!(text.contains("accelwall_idle_timeouts_total 1"));
         assert!(text.contains("accelwall_connections_over_cap_total 1"));
-        assert!(text.contains("accelwall_reactor_polls_total 1"));
         assert!(text.contains("accelwall_response_cache_hits_total 9"));
         assert!(text.contains("accelwall_response_cache_misses_total 3"));
         assert!(text.contains("accelwall_response_cache_evictions_total 1"));

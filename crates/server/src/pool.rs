@@ -1,14 +1,15 @@
 //! A fixed-size, self-healing worker thread pool over an [`mpsc`]
 //! channel.
 //!
-//! The server's reactor thread owns all connection I/O and hands each
-//! parsed request to this pool as one compute job. The channel is a
-//! [`mpsc::sync_channel`] with a bounded backlog, which is the server's
-//! backpressure mechanism: when every worker is busy and the backlog is
-//! full, [`ThreadPool::try_execute`] fails immediately and *returns the
-//! work item*, so the reactor can answer `503 Service Unavailable` for
-//! the rejected request — in pipeline order, on a connection that stays
-//! open — instead of queueing unboundedly or dropping it silently.
+//! The server's connection threads own all connection I/O and hand each
+//! parsed request that the response cache cannot answer to this pool as
+//! one compute job. The channel is a [`mpsc::sync_channel`] with a
+//! bounded backlog, which is the server's backpressure mechanism: when
+//! every worker is busy and the backlog is full,
+//! [`ThreadPool::try_execute`] fails immediately and *returns the work
+//! item*, so the connection thread can answer `503 Service Unavailable`
+//! for the rejected request — in pipeline order, on a connection that
+//! stays open — instead of queueing unboundedly or dropping it silently.
 //!
 //! Workers are self-healing: a handler that panics kills its thread, but
 //! a sentinel guard notices the unwind, counts it, and spawns a

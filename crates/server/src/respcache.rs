@@ -4,10 +4,10 @@
 //! the *wire bytes* built from them — header block (both persistence
 //! modes, `Content-Length` precomputed) plus body — keyed by the request
 //! shape (`path`, query string, `Accept` variant). A warm request on
-//! the reactor thread is then parse → key → one lookup → `writev`,
+//! its connection thread is then parse → key → one lookup → `writev`,
 //! never re-rendering JSON and never crossing into the worker pool.
 //!
-//! Only safe entries are admitted, by the reactor/pool in `lib.rs`:
+//! Only safe entries are admitted, by the pool handler in `lib.rs`:
 //! `GET` requests answering `200` on the immutable-content routes
 //! (`/experiments`, `/experiments/{id}`, `/query`, `/query/schema`).
 //! Those bodies are deterministic for the lifetime of the process — the
@@ -32,7 +32,7 @@ use crate::http::Response;
 use crate::metrics::Route;
 
 /// One cached response: precomputed wire bytes for both persistence
-/// modes plus the metadata the reactor needs to record metrics.
+/// modes plus the metadata the front end needs to record metrics.
 #[derive(Debug)]
 pub struct CachedResponse {
     /// HTTP status (always 200 under the current admission rules).

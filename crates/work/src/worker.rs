@@ -10,8 +10,8 @@
 //! coordinator and reuses it for every POST (lease, heartbeat,
 //! complete), reading each answer by its `Content-Length` frame instead
 //! of half-closing and waiting for EOF — against the server's
-//! connection reactor a whole worker lifetime costs one connection, not
-//! one per request. A pooled connection that has died in the meantime
+//! keep-alive connections a whole worker lifetime costs one connection,
+//! not one per request. A pooled connection that has died in the meantime
 //! (idle timeout, coordinator restart) is replaced by exactly one fresh
 //! dial before the failure is surfaced, and a reply carrying
 //! `Connection: close` retires the connection after the body.
